@@ -115,9 +115,6 @@ void Usage(const char* argv0) {
       "                       response cache (default 1)\n"
       "  --workers N          handler threads for mutating routes "
       "(default 4)\n"
-      "  --io-backend B       reactor IO backend: epoll | io_uring\n"
-      "                       (default epoll; io_uring falls back to epoll\n"
-      "                       with a warning when the kernel lacks support)\n"
       "  --pin-cores          pin reactor i to CPU i (mod online cores)\n"
       "  --queue-capacity N   bounded request queue (default 256)\n"
       "  --shards N           ingest shards for the concise sample "
@@ -187,11 +184,6 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       const char* v = next();
       if (v == nullptr || !ParseInt64(v, &n) || n < 1) return false;
       flags->http.workers = static_cast<int>(n);
-    } else if (arg == "--io-backend") {
-      const char* v = next();
-      if (v == nullptr || !ParseIoBackendKind(v, &flags->http.io_backend)) {
-        return false;
-      }
     } else if (arg == "--pin-cores") {
       flags->http.pin_reactors = true;
     } else if (arg == "--queue-capacity") {

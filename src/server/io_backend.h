@@ -1,40 +1,31 @@
-// The reactor's readiness/IO surface, extracted so one HTTP serving core
-// can run over two transports: the classic epoll readiness loop and an
-// io_uring completion ring (raw syscalls, no liburing).  See DESIGN.md §14.
+// The reactor's transport: a level-triggered epoll readiness loop behind a
+// completion-style call surface.  See DESIGN.md §14.
 //
-// The interface is completion-style — the server asks the backend to
-// accept, receive and send, and the backend reports what finished — because
-// that is the shape io_uring natively has; the epoll backend emulates it by
-// doing the read()/writev() calls itself at readiness time.  All calls and
-// callbacks happen on the owning reactor thread (backends are single-issuer
-// by construction); only GetStats() may be called from other threads.
+// The server asks the backend to accept, receive and send, and the backend
+// reports what finished: it does the accept4()/read()/writev() calls itself
+// at readiness time, so the serving core never touches a socket on the
+// reactor path.  All calls and callbacks happen on the owning reactor
+// thread; only GetStats() may be called from other threads.
 #ifndef AQUA_SERVER_IO_BACKEND_H_
 #define AQUA_SERVER_IO_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
 namespace aqua {
 
-/// Which transport a reactor runs on.
-enum class IoBackendKind {
-  kEpoll,
-  kIoUring,
-};
-
-/// Parses "epoll" / "io_uring"; returns false on anything else.
-bool ParseIoBackendKind(std::string_view name, IoBackendKind* kind);
-std::string_view IoBackendKindName(IoBackendKind kind);
-
 /// One reactor's transport.  Lifecycle: Init() once, Poll() in a loop,
 /// Shutdown() after the loop exits.  Connections are registered with Add()
 /// (returning an opaque per-connection handle), written to with Send(), and
-/// released with Close().
-class IoBackend {
+/// released with Close().  Never blocks outside epoll_wait: a short write
+/// parks the unsent tail on the connection and arms EPOLLOUT.
+class EpollBackend {
  public:
   /// What the serving core must handle.  Every method is invoked from
   /// inside Poll(), on the reactor thread.
@@ -65,104 +56,125 @@ class IoBackend {
   enum class SendResult {
     /// Every byte was written; the connection is idle again.
     kDone,
-    /// Bytes remain in flight (parked tail or queued submission); the
-    /// backend owns finishing them and will fire OnSendDrained/OnSendError.
-    /// The core must not Send() again on this connection until drained.
+    /// Bytes remain in flight (parked tail); the backend owns finishing
+    /// them and will fire OnSendDrained/OnSendError.  The core must not
+    /// Send() again on this connection until drained.
     kPending,
     /// The connection is dead (write error); the core should Close().
     kError,
   };
 
-  /// Transport counters, aggregated into /stats and the bench reports so
-  /// the zero-copy / zero-syscall claims are measured numbers.  Relaxed
-  /// atomics underneath; safe to read from any thread.
+  /// Transport counters, aggregated into /stats and the bench reports.
+  /// Relaxed atomics underneath; safe to read from any thread.
   struct Stats {
     /// Every syscall the backend issued (epoll_wait/ctl, accept4, read,
-    /// write, writev, eventfd reads, io_uring_enter, ...).
+    /// write, writev, eventfd reads, ...).
     std::int64_t syscalls = 0;
     /// Send() calls whose bytes left user space without any intermediate
     /// user-space copy (written straight from the caller's buffers, or
-    /// submitted to the ring pinned in place).
+    /// parked in place behind a pin).
     std::int64_t zero_copy_sends = 0;
     /// Send() calls that copied some tail into backend-owned storage
-    /// before the bytes could leave (parked slow-reader tails, volatile
-    /// scratch submitted to the ring).
+    /// before the bytes could leave (parked slow-reader tails).
     std::int64_t copied_sends = 0;
     /// Bytes that went through such a copy.
     std::int64_t copied_bytes = 0;
     std::int64_t bytes_sent = 0;
     std::int64_t bytes_received = 0;
+    /// Connections accepted and closed at once because the process was
+    /// out of file descriptors (EMFILE/ENFILE).
+    std::int64_t accept_shed = 0;
   };
 
-  virtual ~IoBackend() = default;
+  EpollBackend() = default;
+  ~EpollBackend() { Shutdown(); }
+
+  EpollBackend(const EpollBackend&) = delete;
+  EpollBackend& operator=(const EpollBackend&) = delete;
 
   /// Takes the reactor's listener and wake eventfd (both owned by the
-  /// caller) and builds the transport (epoll instance / io_uring ring).
-  virtual Status Init(int listen_fd, int wake_fd, Events* events) = 0;
+  /// caller) and builds the epoll instance.
+  Status Init(int listen_fd, int wake_fd, Events* events);
 
-  /// Runs one loop iteration: waits up to timeout_ms for completions and
-  /// dispatches them into Events.  Returns a non-OK status only for
+  /// Runs one loop iteration: waits up to timeout_ms for readiness and
+  /// dispatches it into Events.  Returns a non-OK status only for
   /// unrecoverable transport failures (the reactor exits).
-  virtual Status Poll(int timeout_ms) = 0;
+  Status Poll(int timeout_ms);
 
   /// Registers an accepted connection and arms its receive path.  Returns
   /// an opaque handle for Send/Suspend/Resume/Close, or nullptr on failure
   /// (the caller closes fd itself).
-  virtual void* Add(int fd, void* token) = 0;
+  void* Add(int fd, void* token);
 
   /// Stops receive delivery for a connection (worker handoff, send
   /// backpressure).  Idempotent.
-  virtual void SuspendRecv(void* handle) = 0;
+  void SuspendRecv(void* handle);
   /// Re-arms the receive path after SuspendRecv.  Idempotent.
-  virtual void ResumeRecv(void* handle) = 0;
+  void ResumeRecv(void* handle);
 
   /// Writes head then body on the connection, never blocking the reactor:
   /// whatever cannot be written now is finished asynchronously (kPending).
   /// `pin`, when non-null, keeps the underlying buffer alive until the
   /// send completes — the cached-response path passes the cache entry so
-  /// its bytes go to the socket with no copy even if the epoch advances
+  /// a parked tail stays in place with no copy even if the epoch advances
   /// mid-send.  Without a pin the buffers are treated as volatile (reactor
   /// scratch): any unsent tail is copied into backend-owned storage before
   /// Send returns.
-  virtual SendResult Send(void* handle, std::string_view head,
-                          std::string_view body,
-                          const std::shared_ptr<const std::string>* pin) = 0;
+  SendResult Send(void* handle, std::string_view head, std::string_view body,
+                  const std::shared_ptr<const std::string>* pin);
 
   /// True while a kPending send has not yet drained.
-  virtual bool HasPendingSend(const void* handle) const = 0;
+  bool HasPendingSend(const void* handle) const;
 
   /// Stops accepting new connections (graceful drain).
-  virtual void StopAccepting() = 0;
+  void StopAccepting();
 
   /// Closes the connection's fd and releases the handle.  No Events
   /// callback fires for this connection afterwards.  The token may be
   /// freed by the caller immediately after this returns.
-  virtual void Close(void* handle) = 0;
+  void Close(void* handle);
 
   /// Releases the transport (after the reactor loop exited).
-  virtual void Shutdown() = 0;
+  void Shutdown();
 
-  virtual IoBackendKind kind() const = 0;
-  virtual Stats GetStats() const = 0;
+  Stats GetStats() const;
+
+ private:
+  struct Conn;
+
+  void CountSyscall() { syscalls_.fetch_add(1, std::memory_order_relaxed); }
+  bool SyncMask(Conn* conn);
+  void HandleAccept();
+  bool ShedPendingConnection();
+  void HandleWake();
+  void HandleReadable(Conn* conn);
+  void ParkTail(Conn* conn, std::string_view head, std::string_view body,
+                std::size_t written,
+                const std::shared_ptr<const std::string>* pin);
+  void FlushParked(Conn* conn);
+  void ReapClosed();
+
+  int epoll_fd_ = -1;
+  int listen_fd_ = -1;
+  int wake_fd_ = -1;
+  /// Reserve descriptor (/dev/null) given up to shed one pending
+  /// connection when accept4 fails with EMFILE/ENFILE.
+  int spare_fd_ = -1;
+  bool accepting_ = true;
+  Events* events_ = nullptr;
+  // Distinct addresses used as epoll_event.data.ptr sentinels.
+  int listen_tag_ = 0;
+  int wake_tag_ = 0;
+  std::vector<Conn*> closed_;
+
+  std::atomic<std::int64_t> syscalls_{0};
+  std::atomic<std::int64_t> zero_copy_sends_{0};
+  std::atomic<std::int64_t> copied_sends_{0};
+  std::atomic<std::int64_t> copied_bytes_{0};
+  std::atomic<std::int64_t> bytes_sent_{0};
+  std::atomic<std::int64_t> bytes_received_{0};
+  std::atomic<std::int64_t> accept_shed_{0};
 };
-
-/// Builds an epoll backend (always available).
-std::unique_ptr<IoBackend> MakeEpollBackend();
-
-/// True when this kernel supports everything the io_uring backend needs
-/// (io_uring_setup + send/recv/accept opcodes + provided-buffer rings +
-/// EXT_ARG timeouts) and the build carried AQUA_WITH_IOURING.  On false,
-/// *reason (optional) names what was missing.
-bool IoUringAvailable(std::string* reason);
-
-/// Builds an io_uring backend; call only when IoUringAvailable().
-std::unique_ptr<IoBackend> MakeIoUringBackend();
-
-/// Resolves the requested kind against what the host supports: io_uring
-/// falls back to epoll with a warning on stderr when unavailable.
-/// Returns the kind actually built.
-std::unique_ptr<IoBackend> MakeIoBackend(IoBackendKind requested,
-                                         IoBackendKind* actual);
 
 }  // namespace aqua
 

@@ -98,7 +98,7 @@ class ResponseCache {
                             std::string_view key);
 
   /// Lookup() variant returning the entry's shared_ptr cell so the caller
-  /// can pin the wire bytes across an asynchronous send: an IoBackend
+  /// can pin the wire bytes across an asynchronous send: a backend
   /// holding a copy of the shared_ptr keeps the buffer alive even if the
   /// entry is overwritten or evicted mid-send.  Copying the shared_ptr is
   /// refcount-only — the hit path stays allocation-free.  The returned

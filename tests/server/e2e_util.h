@@ -10,6 +10,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -28,14 +29,15 @@
 namespace aqua::e2e {
 
 /// A spawned aqua_serve process: fork/exec with stdout piped back so the
-/// test can read the "listening on ADDR:PORT" line.
+/// test can read the "listening on ADDR:PORT" line.  A positive `max_fds`
+/// lowers the child's RLIMIT_NOFILE to that many descriptors.
 class ServerProcess {
  public:
-  ServerProcess(std::vector<std::string> extra_args) {
-    Spawn(std::move(extra_args));  // ASSERTs need a void function
+  ServerProcess(std::vector<std::string> extra_args, int max_fds = 0) {
+    Spawn(std::move(extra_args), max_fds);  // ASSERTs need a void function
   }
 
-  void Spawn(std::vector<std::string> extra_args) {
+  void Spawn(std::vector<std::string> extra_args, int max_fds = 0) {
     int out_pipe[2];
     ASSERT_EQ(pipe(out_pipe), 0);
     pid_ = fork();
@@ -44,6 +46,11 @@ class ServerProcess {
       dup2(out_pipe[1], STDOUT_FILENO);
       close(out_pipe[0]);
       close(out_pipe[1]);
+      if (max_fds > 0) {
+        const rlimit limit = {static_cast<rlim_t>(max_fds),
+                              static_cast<rlim_t>(max_fds)};
+        if (setrlimit(RLIMIT_NOFILE, &limit) != 0) _exit(126);
+      }
       std::vector<std::string> args = {AQUA_SERVE_BINARY, "--port", "0"};
       for (auto& a : extra_args) args.push_back(std::move(a));
       std::vector<char*> argv;
@@ -138,12 +145,13 @@ inline int ConnectTo(std::uint16_t port) {
 
 inline void SendRequest(int fd, const std::string& method,
                         const std::string& target,
-                        const std::string& body = "") {
+                        const std::string& body = "",
+                        const std::string& extra_headers = "") {
   std::string wire = method + " " + target + " HTTP/1.1\r\nHost: t\r\n";
   if (!body.empty()) {
     wire += "Content-Length: " + std::to_string(body.size()) + "\r\n";
   }
-  wire += "Connection: close\r\n\r\n" + body;
+  wire += extra_headers + "Connection: close\r\n\r\n" + body;
   ASSERT_EQ(write(fd, wire.data(), wire.size()),
             static_cast<ssize_t>(wire.size()));
 }
@@ -241,9 +249,11 @@ inline FramedResponse ReadOneResponse(int fd, std::string* carry = nullptr) {
   return response;
 }
 
-inline RawResponse Fetch(std::uint16_t port, const std::string& target) {
+/// `extra_headers`: whole header lines, each ending in CRLF.
+inline RawResponse Fetch(std::uint16_t port, const std::string& target,
+                         const std::string& extra_headers = "") {
   const int fd = ConnectTo(port);
-  SendRequest(fd, "GET", target);
+  SendRequest(fd, "GET", target, "", extra_headers);
   RawResponse response = ReadResponse(fd);
   close(fd);
   return response;

@@ -7,7 +7,9 @@
 //    merge randomness enters the answer),
 //  - overload answers 503 (one worker + queue capacity 1 + a debug request
 //    that holds the worker),
-//  - SIGTERM drains gracefully with exit code 0.
+//  - SIGTERM drains gracefully with exit code 0,
+//  - at the descriptor limit the listener sheds connections (accepts and
+//    closes them) instead of spinning the reactor.
 //
 // The binary path is injected by CMake as AQUA_SERVE_BINARY; the ctest
 // entry carries a TIMEOUT so a hung server fails rather than wedging CI.
@@ -15,7 +17,11 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -160,6 +166,65 @@ TEST(ServeE2eTest, OverloadAnswers503) {
 TEST(ServeE2eTest, SigtermDrainsCleanly) {
   ServerProcess server({"--shards", "1"});
   ASSERT_EQ(Fetch(server.port(), "/healthz").status, 200);
+  EXPECT_EQ(server.TerminateAndWait(), 0);
+}
+
+/// CPU time (user + system) a process has used so far, in clock ticks, or
+/// -1 when /proc cannot be read.
+std::int64_t CpuTicks(pid_t pid) {
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  const std::string stat((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // The command name is parenthesised and may hold spaces; fields after it
+  // start at field 3 (state).  utime and stime are fields 14 and 15.
+  const std::size_t name_end = stat.rfind(')');
+  if (name_end == std::string::npos) return -1;
+  std::istringstream fields(stat.substr(name_end + 1));
+  std::string field;
+  std::int64_t ticks = 0;
+  for (int i = 3; i <= 15 && (fields >> field); ++i) {
+    if (i >= 14) ticks += std::stoll(field);
+  }
+  return ticks;
+}
+
+TEST(ServeE2eTest, FdExhaustionShedsConnectionsInsteadOfSpinning) {
+  // 40 descriptors leave the server room for about 30 connections; 60 idle
+  // clients exhaust them with the rest still queued on the listener.
+  ServerProcess server({"--reactors", "1", "--workers", "1", "--pin-cores"},
+                       /*max_fds=*/40);
+  ASSERT_GT(server.port(), 0);
+  std::vector<int> idle;
+  for (int i = 0; i < 60; ++i) idle.push_back(ConnectTo(server.port()));
+  usleep(300 * 1000);  // the reactor takes in what it can
+
+  // A reactor that returns on EMFILE with the level-triggered listener
+  // still armed burns a whole core here; a shedding one sits idle.
+  const std::int64_t ticks_per_s = sysconf(_SC_CLK_TCK);
+  const std::int64_t before = CpuTicks(server.pid());
+  ASSERT_GE(before, 0);
+  usleep(2000 * 1000);
+  const std::int64_t used = CpuTicks(server.pid()) - before;
+  EXPECT_LT(used, ticks_per_s / 2)
+      << used << " CPU ticks in 2 s at the descriptor limit (" << ticks_per_s
+      << " ticks = one core-second)";
+
+  for (const int fd : idle) close(fd);
+  RawResponse health;
+  for (int attempt = 0; attempt < 50 && health.status != 200; ++attempt) {
+    health = Fetch(server.port(), "/healthz");
+    if (health.status != 200) usleep(100 * 1000);
+  }
+  EXPECT_EQ(health.status, 200);
+
+  const RawResponse stats = Fetch(server.port(), "/stats");
+  const std::string key = "\"accept_shed\":";
+  const std::size_t at = stats.body.find(key);
+  ASSERT_NE(at, std::string::npos) << stats.body;
+  EXPECT_GT(std::stoll(stats.body.substr(at + key.size())), 0) << stats.body;
+  // Pinning is best-effort but loopback CI machines always have CPU 0.
+  EXPECT_NE(stats.body.find("\"reactors_pinned\":1"), std::string::npos)
+      << stats.body;
   EXPECT_EQ(server.TerminateAndWait(), 0);
 }
 

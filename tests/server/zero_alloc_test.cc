@@ -31,7 +31,6 @@
 
 #include <gtest/gtest.h>
 
-#include "server/io_backend.h"
 #include "server/routes.h"
 #include "server/server.h"
 #include "server/serving_engine.h"
@@ -142,29 +141,7 @@ std::string KeepAliveGet(const std::string& target) {
   return "GET " + target + " HTTP/1.1\r\nHost: t\r\n\r\n";
 }
 
-/// Parameterized over the IO backend so the allocation-free guarantee is
-/// pinned against both transports: epoll (writev + EPOLLOUT parking) and
-/// io_uring (provided-buffer receives, ring-submitted sends).
-class ZeroAllocServing : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kIoUring) {
-      std::string reason;
-      if (!IoUringAvailable(&reason)) {
-        GTEST_SKIP() << "io_uring unavailable: " << reason;
-      }
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    IoBackends, ZeroAllocServing,
-    ::testing::Values(IoBackendKind::kEpoll, IoBackendKind::kIoUring),
-    [](const ::testing::TestParamInfo<IoBackendKind>& info) {
-      return std::string(IoBackendKindName(info.param));
-    });
-
-TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
+TEST(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   // Staleness bounds far beyond the test horizon: after the warm-up
   // queries refresh each snapshot cache once, no refresh (and no epoch
   // advance) happens mid-measurement.  No ingest runs after Start, so the
@@ -194,7 +171,6 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   HttpServerOptions server_options;
   server_options.reactors = 1;
   server_options.workers = 1;
-  server_options.io_backend = GetParam();
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterCatalogRoutes(server, catalog);
@@ -202,7 +178,6 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   // Deliberately no InstallEpochSource: with caching disabled, every
   // measured request renders cold — the stronger guarantee.
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   const std::vector<std::string> targets = {
       "/healthz",
@@ -277,12 +252,10 @@ TEST_P(ZeroAllocServing, EveryGetRouteIsAllocationFreeOnceWarm) {
   server.Shutdown();
 }
 
-TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
+TEST(ZeroAllocServing, CachedHitPathIsAllocationFree) {
   // With an epoch source installed, cacheable GETs replay from the
-  // ResponseCache once warm.  On epoll a hit is a hash probe + writev from
-  // the cached wire; on io_uring the hit pins the cache entry's shared_ptr
-  // (a refcount bump, not an allocation) and ring-submits the bytes in
-  // place.  Both must be allocation-free per hit.
+  // ResponseCache once warm: a hit is a hash probe + writev from the
+  // cached wire, and must be allocation-free.
   ServingEngineOptions engine_options;
   engine_options.shards = 2;
   engine_options.cache_max_stale_ops =
@@ -297,13 +270,11 @@ TEST_P(ZeroAllocServing, CachedHitPathIsAllocationFreeOnBothBackends) {
   HttpServerOptions server_options;
   server_options.reactors = 1;
   server_options.workers = 1;
-  server_options.io_backend = GetParam();
   HttpServer server(server_options);
   RegisterServingRoutes(server, engine);
   RegisterQueryRoutes(server, engine, nullptr);
   InstallEpochSource(server, engine, nullptr);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.io_backend(), GetParam());
 
   const std::vector<std::string> targets = {
       "/hotlist?k=5&beta=2.0",
